@@ -1,10 +1,9 @@
 #pragma once
 
-// Shared scaffolding for the benchmark binaries (bench_suite plus the
-// google-benchmark micro benches). Every binary honors the DC_BENCH_*
-// environment knobs (see harness::env_config): by default graphs are
-// scaled-down stand-ins sized for a laptop; DC_BENCH_FULL=1 selects
-// paper-sized graphs and all variants.
+// Scaffolding for bench_suite. It honors the DC_BENCH_* environment knobs
+// (see harness::env_config): by default graphs are scaled-down stand-ins
+// sized for a laptop; DC_BENCH_FULL=1 selects paper-sized graphs and all
+// variants.
 
 #include <cstdio>
 #include <memory>

@@ -11,11 +11,11 @@
 //   bench_suite                             run the suite (env-configured)
 //
 // Env knobs (harness::env_config, DESIGN.md §3): DC_BENCH_MILLIS / WARMUP /
-// THREADS / SCALE / SEED / FULL / VARIANTS / SCENARIOS / READS / BATCH /
-// TRACE, plus suite-specific:
+// THREADS / SCALE / SEED / FULL / VARIANTS / SCENARIOS / READS /
+// BATCH_SIZES / TRACE, plus suite-specific:
 //   DC_BENCH_SECTIONS  comma list of sections to run (default
-//                      "graphs,sweep,batchpar,sharded,stats,retries,
-//                      ablation,dsu,memory,labels,ingest")
+//                      "graphs,sweep,batchpar,stats,retries,ablation,dsu,
+//                      memory,labels,ingest")
 //   DC_BENCH_JSON      JSON output path (default "bench_suite.json")
 #include <algorithm>
 #include <atomic>
@@ -26,11 +26,9 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_set>
 
 #include "bench_common.hpp"
 #include "core/label_cache.hpp"
-#include "core/sharded_dc.hpp"
 #include "graph/dsu.hpp"
 #include "graph/io.hpp"
 #include "graph/snapshot.hpp"
@@ -58,7 +56,6 @@ RunConfig base_config(const EnvConfig& env) {
   cfg.window_fraction = env.window_fraction;
   cfg.communities = env.communities;
   cfg.run_length = env.run_length;
-  cfg.shard_skew = env.shard_skew;
   return cfg;
 }
 
@@ -266,121 +263,6 @@ void batchpar_section(const EnvConfig& env, JsonReport& json) {
   table.print();
 }
 
-
-/// Synthetic input for the sharded head-to-head: n vertices, ~m edges, with
-/// exactly `cross_pct` percent of the draws crossing shard boundaries *as
-/// defined by the facade's own router at `shards`* — so the cross-shard
-/// fraction is controlled by construction, not estimated after the fact.
-Graph cross_shard_graph(Vertex n, std::size_t m, unsigned shards,
-                        int cross_pct, uint64_t seed) {
-  const uint32_t mask = shards - 1;
-  std::vector<std::vector<Vertex>> bucket(shards);
-  for (Vertex v = 0; v < n; ++v)
-    bucket[ShardedDc::route(v, mask)].push_back(v);
-  Xoshiro256 rng(mix64(seed ^ 0x5ba6dedull));
-  std::vector<Edge> edges;
-  std::unordered_set<uint64_t> seen;
-  edges.reserve(m);
-  // Bounded attempts: tiny buckets (or cross_pct ~100 at shards=1, where
-  // crossing is impossible) must not spin forever.
-  for (std::size_t tries = 0; edges.size() < m && tries < 20 * m; ++tries) {
-    uint32_t a = static_cast<uint32_t>(rng.next_below(shards));
-    uint32_t b = a;
-    if (shards > 1 &&
-        rng.next_below(100) < static_cast<uint64_t>(cross_pct)) {
-      while (b == a) b = static_cast<uint32_t>(rng.next_below(shards));
-    }
-    if (bucket[a].empty() || bucket[b].empty()) continue;
-    const Vertex u = bucket[a][rng.next_below(bucket[a].size())];
-    const Vertex v = bucket[b][rng.next_below(bucket[b].size())];
-    if (u == v) continue;
-    const Edge e(u, v);
-    if (seen.insert(e.key()).second) edges.push_back(e);
-  }
-  Graph g(n, std::move(edges));
-  char name[48];
-  std::snprintf(name, sizeof name, "xshard-s%u-c%d@%u", shards, cross_pct, n);
-  g.name = name;
-  return g;
-}
-
-/// §10 head-to-head: the sharded facade vs its flat inner flagship on the
-/// two locality scenarios, at S in {1,4,16} x cross-shard edge fraction
-/// {1,10,50}% (S=1 has no boundary, one cross=0 row as the facade-overhead
-/// baseline). Threads pinned to {1,8} like batchpar so the checked-in
-/// acceptance records — sharded<full> >= full at S=16, 8 threads, <=10%
-/// cross — reproduce from the smoke env unchanged. DC_SHARDS is set per
-/// row before construction (the facade and the work-imbalance generator
-/// both read it), and restored after.
-void sharded_section(const EnvConfig& env, JsonReport& json) {
-  static constexpr const char* kScenarios[] = {"component-local",
-                                               "work-imbalance"};
-  static constexpr const char* kVariants[] = {"full", "sharded<full>"};
-  static constexpr unsigned kThreads[] = {1, 8};
-  static constexpr unsigned kShards[] = {1, 4, 16};
-  static constexpr int kCross[] = {1, 10, 50};
-  const Vertex n = std::max<Vertex>(
-      1024, static_cast<Vertex>(32768 * (env.full ? 1.0 : env.scale)));
-  const std::size_t m = static_cast<std::size_t>(n) * 3;
-  const int read_percent = env.read_percents.front();
-  const char* prev = std::getenv("DC_SHARDS");
-  const std::string saved = prev != nullptr ? prev : "";
-  TableReport table("Sharded facade vs flat (DESIGN.md \u00a710)",
-                    {"scenario", "graph", "threads", "variant", "ops/ms",
-                     "cross-upd"});
-  for (unsigned shards : kShards) {
-    ::setenv("DC_SHARDS", std::to_string(shards).c_str(), 1);
-    for (int cross : kCross) {
-      if (shards == 1 && cross != kCross[0]) continue;  // no boundary at S=1
-      const Graph g = cross_shard_graph(n, m, shards,
-                                        shards == 1 ? 0 : cross, env.seed);
-      for (const char* sname : kScenarios) {
-        const ScenarioInfo* s = harness::find_scenario(sname);
-        if (s == nullptr) continue;
-        for (unsigned threads : kThreads) {
-          double ops[2] = {0, 0};
-          for (int vi = 0; vi < 2; ++vi) {
-            const VariantInfo* v = find_variant(kVariants[vi]);
-            if (v == nullptr) continue;
-            RunConfig cfg = base_config(env);
-            cfg.threads = threads;
-            cfg.read_percent = read_percent;
-            auto dc = make_variant(v->id, g.num_vertices());
-            const RunResult r = harness::run_scenario(*s, *dc, g, cfg);
-            ops[vi] = r.ops_per_ms;
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.1f", r.ops_per_ms);
-            table.add_row({s->name, g.name, std::to_string(threads),
-                           v->name, buf,
-                           std::to_string(r.op_counters.shard_cross_updates)});
-            add_sweep_record(json, *s, g, v->id, cfg, r, "sharded")
-                .field("shards", static_cast<int>(shards))
-                .field("cross_pct",
-                       shards == 1 ? 0 : cross)
-                .field("shard_cross_updates",
-                       r.op_counters.shard_cross_updates)
-                .field("shard_boundary_queries",
-                       r.op_counters.shard_boundary_queries)
-                .field("shard_index_rebuilds",
-                       r.op_counters.shard_index_rebuilds);
-          }
-          if (ops[0] > 0 && ops[1] > 0) {
-            std::printf("# sharded %s %s threads=%u: sharded<full>/full = "
-                        "%.2fx\n",
-                        s->name, g.name.c_str(), threads, ops[1] / ops[0]);
-          }
-        }
-      }
-    }
-  }
-  if (prev != nullptr) {
-    ::setenv("DC_SHARDS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("DC_SHARDS");
-  }
-  table.print();
-}
-
 /// Tables 1-2: the benchmark graph inventory — |V|, |E|, degree and
 /// component structure of every stand-in (checks DESIGN.md §2's claims).
 void graphs_section(const EnvConfig& env, JsonReport& json) {
@@ -422,6 +304,9 @@ void stats_section(const EnvConfig& env, JsonReport& json) {
   TableReport table("Scenario statistics (sequential workload)",
                     {"graph", "scenario", "% non-span. adds",
                      "% non-span. removes", "largest component, %"});
+  const ScenarioInfo& random = *harness::find_scenario("random");
+  const ScenarioInfo& incremental = *harness::find_scenario("incremental");
+  const ScenarioInfo& decremental = *harness::find_scenario("decremental");
   for (const Graph& g : bench::small_graphs(env)) {
     auto row = [&](const char* scenario, const RunResult& r, double largest) {
       const auto& c = r.op_counters;
@@ -447,14 +332,14 @@ void stats_section(const EnvConfig& env, JsonReport& json) {
     auto rnd = make_variant(9, g.num_vertices());
     const ComponentInfo cc = connected_components(
         g.num_vertices(), harness::random_half(g, env.seed));
-    row("random", harness::run_random(*rnd, g, cfg),
+    row("random", harness::run_scenario(random, *rnd, g, cfg),
         100.0 * cc.largest_component / g.num_vertices());
 
     auto inc = make_variant(9, g.num_vertices());
-    row("incremental", harness::run_incremental(*inc, g, cfg), -1);
+    row("incremental", harness::run_scenario(incremental, *inc, g, cfg), -1);
 
     auto dec = make_variant(9, g.num_vertices());
-    row("decremental", harness::run_decremental(*dec, g, cfg), -1);
+    row("decremental", harness::run_scenario(decremental, *dec, g, cfg), -1);
   }
   table.print();
 }
@@ -464,6 +349,7 @@ void stats_section(const EnvConfig& env, JsonReport& json) {
 void retries_section(const EnvConfig& env, JsonReport& json) {
   TableReport table("Lock-free read retries, random scenario, max threads",
                     {"graph", "read %", "reads", "retries", "first-try %"});
+  const ScenarioInfo& random = *harness::find_scenario("random");
   const unsigned threads = env.thread_counts.back();
   for (const Graph& g : bench::small_graphs(env)) {
     for (int read_pct : env.read_percents) {
@@ -471,7 +357,7 @@ void retries_section(const EnvConfig& env, JsonReport& json) {
       RunConfig cfg = base_config(env);
       cfg.threads = threads;
       cfg.read_percent = read_pct;
-      const RunResult r = harness::run_random(*dc, g, cfg);
+      const RunResult r = harness::run_scenario(random, *dc, g, cfg);
       const auto& c = r.op_counters;
       const double first_try =
           c.reads ? 100.0 * (1.0 - static_cast<double>(c.read_retries) /
@@ -500,6 +386,7 @@ void ablation_section(const EnvConfig& env, JsonReport& json) {
   TableReport table("Replacement sampling ablation, decremental scenario",
                     {"graph", "variant", "threads", "ops/ms (sampling)",
                      "ops/ms (off)", "speedup"});
+  const ScenarioInfo& decremental = *harness::find_scenario("decremental");
   const unsigned threads = env.thread_counts.back();
   for (const Graph& g : bench::small_graphs(env)) {
     for (int id : bench::variant_set(env, {1, 9})) {
@@ -508,7 +395,7 @@ void ablation_section(const EnvConfig& env, JsonReport& json) {
         auto dc = make_variant(id, g.num_vertices(), sampling);
         RunConfig cfg = base_config(env);
         cfg.threads = threads;
-        const RunResult r = harness::run_decremental(*dc, g, cfg);
+        const RunResult r = harness::run_scenario(decremental, *dc, g, cfg);
         (sampling ? with_s : without_s) = r.ops_per_ms;
       }
       table.add_row({g.name, bench::variant_label(id),
@@ -541,6 +428,7 @@ void memory_section(const EnvConfig& env, JsonReport& json) {
           (pool_stats::pooling_enabled() ? "on" : "OFF — DC_POOL=0") + ")",
       {"graph", "variant", "threads", "allocs/1k ops", "pool hit %",
        "recycled/1k ops", "alloc KiB/1k ops", "resident +MiB"});
+  const ScenarioInfo& random = *harness::find_scenario("random");
   const unsigned threads = env.thread_counts.back();
   for (const Graph& g : bench::small_graphs(env)) {
     for (int id : bench::variant_set(env, {1, 9})) {
@@ -552,7 +440,7 @@ void memory_section(const EnvConfig& env, JsonReport& json) {
       // across runs (earlier rows' slabs get *reused* by later rows), so
       // each row reports its own growth, not the cumulative footprint.
       const uint64_t resident_before = pool_stats::resident_bytes();
-      const RunResult r = harness::run_random(*dc, g, cfg);
+      const RunResult r = harness::run_scenario(random, *dc, g, cfg);
       const uint64_t resident_after = pool_stats::resident_bytes();
       const uint64_t resident_delta =
           resident_after > resident_before ? resident_after - resident_before
@@ -923,7 +811,8 @@ void calibration_record(JsonReport& json) {
   // By name, not id: the record's label and the measured variant must never
   // drift apart if the registry is ever reordered.
   auto dc = make_variant("coarse", g.num_vertices());
-  const RunResult r = harness::run_random(*dc, g, cfg);
+  const RunResult r =
+      harness::run_scenario(*harness::find_scenario("random"), *dc, g, cfg);
   std::printf("# calibration (coarse, 1 thread, fixed config): %.1f ops/ms\n",
               r.ops_per_ms);
   json.add_record()
@@ -965,13 +854,14 @@ class DsuDc final : public DynamicConnectivity {
 void dsu_section(const EnvConfig& env, JsonReport& json) {
   SeriesReport report("Incremental scenario: DSU baseline vs fully-dynamic",
                       "ops/ms", env.thread_counts);
+  const ScenarioInfo& incremental = *harness::find_scenario("incremental");
   for (const Graph& g : bench::small_graphs(env)) {
     report.begin_graph(bench::graph_label(g));
     for (unsigned threads : env.thread_counts) {
       RunConfig cfg = base_config(env);
       cfg.threads = threads;
       DsuDc dsu(g.num_vertices());
-      const RunResult r = harness::run_incremental(dsu, g, cfg);
+      const RunResult r = harness::run_scenario(incremental, dsu, g, cfg);
       report.add_point("dsu", threads, r.ops_per_ms);
       json.add_record()
           .field("section", "dsu")
@@ -981,7 +871,7 @@ void dsu_section(const EnvConfig& env, JsonReport& json) {
           .field("ops_per_ms", r.ops_per_ms);
       for (int id : bench::variant_set(env, {1, 9})) {
         auto dc = make_variant(id, g.num_vertices());
-        const RunResult rv = harness::run_incremental(*dc, g, cfg);
+        const RunResult rv = harness::run_scenario(incremental, *dc, g, cfg);
         report.add_point(bench::variant_label(id), threads, rv.ops_per_ms);
         json.add_record()
             .field("section", "dsu")
@@ -1007,15 +897,12 @@ void list_registries() {
   }
   std::printf("\nVariants (%zu registered):\n", all_variants().size());
   for (const VariantInfo& v : all_variants()) {
-    std::printf("  %2d  %-18s [%s%s%s%s%s]  %s\n", v.id, v.name,
-                v.caps.native_batch ? "batch" : "per-op",
-                v.caps.lock_free_reads ? ",nbreads" : "",
-                v.caps.atomic_batch ? ",atomic" : "",
-                v.caps.combining ? ",combining" : "",
-                v.caps.sized_components && v.caps.stable_representative
-                    ? ",values"
-                    : "",
-                v.description);
+    std::string tags;
+    if (v.caps.lock_free_reads) tags += ",nbreads";
+    if (v.caps.atomic_batch) tags += ",atomic";
+    if (v.caps.combining) tags += ",combining";
+    std::printf("  %2d  %-18s [%s]  %s\n", v.id, v.name,
+                tags.empty() ? "" : tags.c_str() + 1, v.description);
   }
 }
 
@@ -1079,16 +966,14 @@ int main(int argc, char** argv) {
 
   for (const std::string& section :
        harness::env_list("DC_BENCH_SECTIONS",
-                         "graphs,sweep,batchpar,sharded,stats,retries,"
-                         "ablation,dsu,memory,labels,ingest")) {
+                         "graphs,sweep,batchpar,stats,retries,ablation,"
+                         "dsu,memory,labels,ingest")) {
     if (section == "graphs") {
       graphs_section(env, json);
     } else if (section == "sweep") {
       sweep_section(env, json);
     } else if (section == "batchpar") {
       batchpar_section(env, json);
-    } else if (section == "sharded") {
-      sharded_section(env, json);
     } else if (section == "stats") {
       stats_section(env, json);
     } else if (section == "retries") {

@@ -10,10 +10,7 @@ Sweep records are matched on (scenario, graph, variant, threads,
 read_percent, batch_size); a data point whose ops_per_ms dropped by more
 than --threshold percent (default 10) is a regression. Memory-section
 records are matched the same way on allocs_per_op (an *increase* beyond the
-threshold is the regression there). Sharded-section records are matched on
-(scenario, graph, variant, threads, shards, cross_pct) with the synthetic
-graph's "@<n>" size suffix stripped, so baselines recorded at one
-DC_BENCH_SCALE still diff against runs at another.
+threshold is the regression there).
 
 Either side may be a comma-separated list of artifacts from repeated
 bench_suite runs: each data point is then the per-key *median* across the
@@ -43,8 +40,6 @@ import sys
 SWEEP_KEY = ("scenario", "graph", "variant", "threads", "read_percent",
              "batch_size")
 MEMORY_KEY = ("scenario", "graph", "variant", "threads")
-SHARDED_KEY = ("scenario", "graph", "variant", "threads", "shards",
-               "cross_pct")
 
 
 def load(path):
@@ -80,11 +75,6 @@ def index_one(results, section, key_fields, value_field):
             # which varies between runs/machines; normalize so the data
             # points match (covers trace-replay and trace-replay-dep).
             r["graph"] = "<trace>"
-        if section == "sharded":
-            # The cross-shard graph's name carries its vertex count
-            # ("xshard-s4-c10@1638"), which scales with DC_BENCH_SCALE;
-            # strip it so differently-scaled runs still line up.
-            r["graph"] = str(r.get("graph", "")).split("@", 1)[0]
         key = tuple(r.get(k) for k in key_fields)
         out[key] = r[value_field]
     return out
@@ -187,7 +177,6 @@ def main():
     # allocs_per_op is machine-independent; only throughput is scaled.
     checks = [
         ("sweep", SWEEP_KEY, "ops_per_ms", True, cal_scale),
-        ("sharded", SHARDED_KEY, "ops_per_ms", True, cal_scale),
         ("memory", MEMORY_KEY, "allocs_per_op", False, 1.0),
     ]
     all_regressions, all_missing, all_improvements = [], [], []

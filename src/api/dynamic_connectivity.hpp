@@ -158,9 +158,8 @@ class DynamicConnectivity {
   /// vertex universe — a consistent read only at quiescence, O(n) queries.
   /// Every built-in variant overrides it with its native O(find_root) path
   /// over the ETT's vertex-count augmentation, under the same
-  /// synchronization regime as its connected() (VariantCaps::
-  /// sized_components); overrides are exact at quiescence and between
-  /// updates of u's component.
+  /// synchronization regime as its connected(); overrides are exact at
+  /// quiescence and between updates of u's component.
   virtual uint64_t component_size(Vertex u);
 
   /// Canonical representative of u's component: the smallest vertex id the
@@ -169,8 +168,8 @@ class DynamicConnectivity {
   /// membership does not change — the property that makes it usable as a
   /// sharding key. Being a pure function of the member set, it is also
   /// identical across variants (trace replays stay comparable). Base
-  /// fallback: first i with connected(u, i); overridden natively via the
-  /// ETT's min-vertex augmentation (VariantCaps::stable_representative).
+  /// fallback: first i with connected(u, i); every built-in variant
+  /// overrides it natively via the ETT's min-vertex augmentation.
   virtual Vertex representative(Vertex u);
 
   /// Every component at once: a full label array (see ComponentsSnapshot).
@@ -198,10 +197,10 @@ class DynamicConnectivity {
   /// Settle lazily maintained internal state at a known-quiescent point:
   /// callers that can guarantee no concurrent updates (the ingest applier
   /// parked at a batch boundary, a recovery that just finished its replay)
-  /// invoke this before snapshotting or serving queries, so deferred
-  /// structures (the sharded facade's boundary index, caches) are rebuilt
-  /// once here instead of on the first post-quiesce query. Base: no-op —
-  /// most variants keep nothing deferred.
+  /// invoke this before snapshotting or serving queries, so a variant that
+  /// defers internal work can settle it once here instead of on the first
+  /// post-quiesce query. Base: no-op — no built-in variant keeps anything
+  /// deferred.
   virtual void quiesce() {}
 
   /// Stable identifier used in benchmark tables (matches DESIGN.md §1).

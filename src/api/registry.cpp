@@ -9,7 +9,7 @@ VariantRegistry& VariantRegistry::instance() {
   static VariantRegistry reg;
   static std::once_flag once;
   std::call_once(once, [] {
-    // Headroom for custom registrations beyond the 13 built-ins, so the
+    // Headroom for custom registrations beyond the 14 built-ins, so the
     // VariantInfo pointers/references handed out by find()/variants() are
     // not invalidated by a later add() reallocating the vector.
     reg.variants_.reserve(kReserved);
@@ -20,9 +20,6 @@ VariantRegistry& VariantRegistry::instance() {
     register_nb_variants(reg);
     register_combining_variants(reg);
     register_pbd_variants(reg);
-    // Last: the sharded facade picks its inner variants by capability
-    // profile from the families registered above.
-    register_sharded_variants(reg);
   });
   return reg;
 }

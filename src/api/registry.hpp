@@ -13,8 +13,6 @@ namespace condyn {
 /// The harness, benches and tests branch on these instead of hard-coding
 /// variant names.
 struct VariantCaps {
-  /// apply_batch is a real batched implementation, not the per-op fallback.
-  bool native_batch = false;
   /// connected() never blocks (Listing 1's lock-free read path).
   bool lock_free_reads = false;
   /// apply_batch applies update-containing batches atomically with respect
@@ -25,13 +23,6 @@ struct VariantCaps {
   /// Updates funnel through a combining substrate (one thread applies
   /// everyone's published operations).
   bool combining = false;
-  /// component_size() is a native O(find_root) path over the ETT's
-  /// vertex-count augmentation rather than the base class's O(n)
-  /// connected() scan (Query API v2, DESIGN.md §5.4).
-  bool sized_components = false;
-  /// representative() natively returns the canonical (smallest-id) member
-  /// of the component, stable between updates of that component.
-  bool stable_representative = false;
   /// Reads route through the epoch-published component-label cache
   /// (DESIGN.md §8): O(1) hits for connected/component_size/representative
   /// and snapshot-consistent components(), gated at construction by
@@ -42,14 +33,14 @@ struct VariantCaps {
   /// worker gang preprocesses, groups and applies the batch's ops
   /// concurrently (the pbd family, DESIGN.md §9) — rather than pushing one
   /// caller's batch through a single engine pass. Batch-heavy callers
-  /// (examples/batch_processor) prefer this over plain native_batch.
+  /// (examples/batch_processor) prefer this over a single-pass engine.
   bool internal_parallel = false;
 };
 
 /// One evaluated algorithm combination (paper §5.2; numbering kept
 /// consistent with the plots and with DESIGN.md §1).
 struct VariantInfo {
-  int id;            ///< 1..13, the paper's numbering (registration order)
+  int id;            ///< 1..13 the paper's numbering, then 14 = pbd
   const char* name;  ///< stable identifier used in tables ("coarse", ...)
   const char* description;
   VariantCaps caps;
@@ -78,7 +69,7 @@ class VariantRegistry {
           std::function<std::unique_ptr<DynamicConnectivity>(Vertex, bool)>
               make);
 
-  /// Capacity bound: 13 built-ins plus room for custom variants.
+  /// Capacity bound: 14 built-ins plus room for custom variants.
   static constexpr std::size_t kReserved = 32;
 
   const std::vector<VariantInfo>& variants() const noexcept {
@@ -98,6 +89,5 @@ void register_fine_variants(VariantRegistry& r);       // (6)–(8)
 void register_nb_variants(VariantRegistry& r);         // (9)–(11)
 void register_combining_variants(VariantRegistry& r);  // (12)–(13)
 void register_pbd_variants(VariantRegistry& r);        // (14)
-void register_sharded_variants(VariantRegistry& r);    // (15)–(16)
 
 }  // namespace condyn

@@ -7,11 +7,8 @@ namespace condyn {
 
 void register_combining_variants(VariantRegistry& r) {
   VariantCaps pc;
-  pc.native_batch = true;
   pc.atomic_batch = true;  // the combiner applies a published batch alone
   pc.combining = true;
-  pc.sized_components = true;       // value queries ride the slot protocol
-  pc.stable_representative = true;  // (parallel read phase / lock-free in fc)
   r.add("parallel-combining",
         "parallel combining (Aksenov et al.): batched updates, parallel "
         "read phase",

@@ -11,11 +11,8 @@ namespace {
 
 VariantCaps coarse_caps(bool lock_free_reads) {
   VariantCaps c;
-  c.native_batch = true;
   c.atomic_batch = true;
   c.lock_free_reads = lock_free_reads;
-  c.sized_components = true;       // native root-vcount lookup (under/without
-  c.stable_representative = true;  // the lock, per the read discipline)
   c.label_cache = lock_free_reads;  // cache hits/fallback are lock-free (§8)
   return c;
 }

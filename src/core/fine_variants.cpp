@@ -8,10 +8,7 @@ namespace {
 
 VariantCaps fine_caps(bool lock_free_reads) {
   VariantCaps c;
-  c.native_batch = true;
   c.lock_free_reads = lock_free_reads;
-  c.sized_components = true;       // certified root's vcount under the guard
-  c.stable_representative = true;  // certified root's vmin under the guard
   c.label_cache = lock_free_reads;  // cache hits/fallback are lock-free (§8)
   return c;  // not atomic_batch: per-component guards, not a batch lock
 }

@@ -8,11 +8,8 @@ namespace {
 
 VariantCaps nb_caps() {
   VariantCaps c;
-  c.native_batch = true;
   c.lock_free_reads = true;
-  c.sized_components = true;       // lock-free seqlock double-collect over
-  c.stable_representative = true;  // the root vcount/vmin augmentation
-  c.label_cache = true;            // epoch-published labels over F_0 (§8)
+  c.label_cache = true;  // epoch-published labels over F_0 (§8)
   return c;  // batches stay concurrent with other threads: not atomic_batch
 }
 

@@ -6,11 +6,8 @@ namespace condyn {
 
 void register_pbd_variants(VariantRegistry& r) {
   VariantCaps c;
-  c.native_batch = true;
   c.atomic_batch = true;  // update batches hold the batch mutex end to end
   c.lock_free_reads = true;
-  c.sized_components = true;
-  c.stable_representative = true;
   c.internal_parallel = true;
   r.add("pbd",
         "parallel batch-dynamic: one batch preprocessed, grouped and "

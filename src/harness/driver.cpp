@@ -278,14 +278,6 @@ RunResult run_finite(const ScenarioInfo& s, DynamicConnectivity& dc,
   return combine(totals, elapsed, cfg.threads);
 }
 
-const ScenarioInfo& must_find_scenario(const char* name) {
-  const ScenarioInfo* s = find_scenario(name);
-  if (s == nullptr) {
-    throw std::logic_error(std::string("built-in scenario missing: ") + name);
-  }
-  return *s;
-}
-
 }  // namespace
 
 RunConfig validated(const RunConfig& cfg) {
@@ -306,7 +298,6 @@ RunConfig validated(const RunConfig& cfg) {
   out.window_fraction = std::clamp(out.window_fraction, 0.01, 1.0);
   if (out.communities == 0) out.communities = 1;
   if (out.run_length == 0) out.run_length = 1;
-  out.shard_skew = std::clamp(out.shard_skew, 0.0, 1.0);
   if (out.arrival_rate < 0) out.arrival_rate = 0;
   return out;
 }
@@ -367,26 +358,6 @@ RunResult run_scenario(const ScenarioInfo& s, DynamicConnectivity& dc,
   return s.caps.finite ? run_finite(s, dc, g, cfg) : run_timed(s, dc, g, cfg);
 }
 
-RunResult run_random(DynamicConnectivity& dc, const Graph& g,
-                     const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("random"), dc, g, cfg);
-}
-
-RunResult run_incremental(DynamicConnectivity& dc, const Graph& g,
-                          const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("incremental"), dc, g, cfg);
-}
-
-RunResult run_decremental(DynamicConnectivity& dc, const Graph& g,
-                          const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("decremental"), dc, g, cfg);
-}
-
-RunResult run_batch(DynamicConnectivity& dc, const Graph& g,
-                    const RunConfig& cfg) {
-  return run_scenario(must_find_scenario("batch-random"), dc, g, cfg);
-}
-
 namespace {
 
 uint64_t env_u64(const char* name, uint64_t fallback) {
@@ -443,7 +414,6 @@ EnvConfig env_config() {
   cfg.window_fraction = env_double("DC_BENCH_WINDOW", 0.25);
   cfg.communities = static_cast<unsigned>(env_u64("DC_BENCH_COMMUNITIES", 16));
   cfg.run_length = static_cast<unsigned>(env_u64("DC_BENCH_RUNLEN", 64));
-  cfg.shard_skew = env_double("DC_BENCH_SHARD_SKEW", 0.8);
   cfg.arrival_rate = env_double("DC_BENCH_RATE", 0);
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -470,12 +440,8 @@ EnvConfig env_config() {
     if (s != nullptr) cfg.scenarios.push_back(s->name);
   }
 
-  // DC_BENCH_BATCH_SIZES is the preferred spelling (ISSUE 7); the original
-  // DC_BENCH_BATCH is honored as a fallback so existing scripts keep
-  // working. One run sweeps every listed size on the batch scenarios.
-  std::vector<std::string> batch_items = env_list("DC_BENCH_BATCH_SIZES");
-  if (batch_items.empty()) batch_items = env_list("DC_BENCH_BATCH");
-  for (const std::string& item : batch_items) {
+  // One run sweeps every listed size on the batch scenarios.
+  for (const std::string& item : env_list("DC_BENCH_BATCH_SIZES")) {
     if (!all_digits(item)) continue;  // malformed entries are skipped
     const std::size_t b = static_cast<std::size_t>(std::stoul(item));
     if (b > 0) cfg.batch_sizes.push_back(b);

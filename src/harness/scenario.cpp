@@ -62,8 +62,8 @@ const ScenarioInfo* find_scenario(int id) {
 namespace {
 
 /// Per-thread seed derivation shared by every random-mix scenario; the
-/// 0x9e37 constant predates the registry (run_random used it), kept so
-/// recorded traces and measurements stay reproducible across PRs.
+/// 0x9e37 constant predates the registry, kept so recorded traces and
+/// measurements stay reproducible across PRs.
 uint64_t thread_seed(const RunConfig& cfg, unsigned thread) {
   return mix64(cfg.seed ^ (0x9e37ull + thread));
 }
@@ -261,16 +261,6 @@ void register_builtin_scenarios(ScenarioRegistry& r) {
           return std::make_unique<ComponentLocalStream>(
               g, cfg.read_percent, cfg.communities, cfg.seed, t,
               cfg.run_length);
-        });
-
-  ScenarioCaps imb_caps = random_caps;
-  r.add("work-imbalance",
-        "shard-skewed mix: shard_skew of the draws hit edges that land "
-        "entirely on shard 0 of the sharded facade's router (DC_SHARDS / "
-        "DC_BENCH_SHARD_SKEW) — the static-partition worst case",
-        imb_caps, [](const Graph& g, const RunConfig& cfg, unsigned t) {
-          return std::make_unique<WorkImbalanceStream>(
-              g, cfg.read_percent, thread_seed(cfg, t), cfg.shard_skew);
         });
 
   ScenarioCaps fire_caps = random_caps;

@@ -34,7 +34,6 @@ struct RunConfig {
   double window_fraction = 0.25; ///< sliding-window live share of the stripe
   unsigned communities = 16;     ///< component-local community count
   unsigned run_length = 64;      ///< component-local ops before hopping
-  double shard_skew = 0.8;       ///< work-imbalance hot-shard probability
   /// Open-loop target arrival rate in ops/sec, aggregate across threads
   /// (DC_BENCH_RATE); 0 = unpaced. Only paced scenarios (ScenarioCaps::
   /// paced — firehose) honor it; validated(cfg, caps) *rejects* it on
@@ -261,34 +260,6 @@ class ComponentLocalStream final : public OpStream {
   std::size_t current_ = 0;
   unsigned run_length_;
   unsigned run_left_ = 0;
-  int read_percent_;
-  Xoshiro256 rng_;
-};
-
-/// Shard-skewed mix for the sharded facade (DESIGN.md §10): with probability
-/// `skew` a draw comes from the *hot* bucket — edges both of whose endpoints
-/// route to shard 0 under ShardedDc's vertex router at the current DC_SHARDS
-/// setting — and otherwise from the whole edge list. High skew concentrates
-/// work on one shard (the imbalance regime a static partition handles
-/// worst); skew 0 degrades to the uniform random mix, as does any graph
-/// whose hot bucket is empty.
-class WorkImbalanceStream final : public OpStream {
- public:
-  static constexpr double kDefaultSkew = 0.8;
-
-  /// `skew` in [0, 1]: probability a draw targets the hot shard
-  /// (RunConfig::shard_skew / DC_BENCH_SHARD_SKEW).
-  WorkImbalanceStream(const Graph& g, int read_percent, uint64_t seed,
-                      double skew = kDefaultSkew);
-
-  bool next(Op& op) override;
-
-  std::size_t hot_edges() const noexcept { return hot_.size(); }
-
- private:
-  const std::vector<Edge>* edges_;
-  std::vector<uint32_t> hot_;  // edge indices fully inside shard 0
-  uint32_t skew_pct_;          // skew as a [0, 100] percentage
   int read_percent_;
   Xoshiro256 rng_;
 };

@@ -56,11 +56,9 @@ class SpinBarrier {
 class TaskPool {
  public:
   /// `workers` = total gang size including the caller; 0 picks the
-  /// environment default from `env` (DC_PBD_WORKERS unless the owner —
-  /// e.g. ShardedDc with DC_SHARD_WORKERS — names its own knob).
-  explicit TaskPool(unsigned workers = 0,
-                    const char* env = "DC_PBD_WORKERS")
-      : total_(workers == 0 ? env_workers(env) : workers) {}
+  /// DC_PBD_WORKERS default (env_workers()).
+  explicit TaskPool(unsigned workers = 0)
+      : total_(workers == 0 ? env_workers() : workers) {}
 
   ~TaskPool() {
     {
@@ -97,11 +95,12 @@ class TaskPool {
     job_ = nullptr;
   }
 
-  /// Gang size from the named environment knob (default DC_PBD_WORKERS),
-  /// falling back to the hardware concurrency clamped to [1, 8] — beyond
-  /// that the guarded net-op phase is contention-bound, not core-bound.
-  static unsigned env_workers(const char* env = "DC_PBD_WORKERS") {
-    if (const char* s = std::getenv(env)) {
+ private:
+  /// Gang size from DC_PBD_WORKERS, falling back to the hardware
+  /// concurrency clamped to [1, 8] — beyond that the guarded net-op phase
+  /// is contention-bound, not core-bound.
+  static unsigned env_workers() {
+    if (const char* s = std::getenv("DC_PBD_WORKERS")) {
       const long v = std::strtol(s, nullptr, 10);
       if (v >= 1 && v <= 64) return static_cast<unsigned>(v);
     }
@@ -109,7 +108,6 @@ class TaskPool {
     return hw == 0 ? 1 : (hw > 8 ? 8 : hw);
   }
 
- private:
   void spawn_locked() {
     threads_.reserve(total_ - 1);
     for (unsigned id = 1; id < total_; ++id) {

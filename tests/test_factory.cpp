@@ -1,7 +1,7 @@
-// Factory coverage: all 16 variants (13 paper combinations + the pbd family
-// + the two sharded facades) are constructible by id and name,
-// expose consistent metadata, and agree with a DSU oracle on a randomized
-// sequential workload — the cross-variant semantic equivalence check.
+// Factory coverage: all 14 variants (13 paper combinations + the pbd family)
+// are constructible by id and name, expose consistent metadata, and agree
+// with a DSU oracle on a randomized sequential workload — the cross-variant
+// semantic equivalence check.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,9 +14,9 @@
 namespace condyn {
 namespace {
 
-TEST(Factory, SixteenVariantsEnumerated) {
+TEST(Factory, FourteenVariantsEnumerated) {
   const auto& vs = all_variants();
-  ASSERT_EQ(vs.size(), 16u);
+  ASSERT_EQ(vs.size(), 14u);
   for (std::size_t i = 0; i < vs.size(); ++i) {
     EXPECT_EQ(vs[i].id, static_cast<int>(i) + 1);
     EXPECT_NE(vs[i].name, nullptr);
@@ -24,7 +24,7 @@ TEST(Factory, SixteenVariantsEnumerated) {
   }
   std::set<std::string> names;
   for (const auto& v : vs) names.insert(v.name);
-  EXPECT_EQ(names.size(), 16u) << "variant names must be unique";
+  EXPECT_EQ(names.size(), 14u) << "variant names must be unique";
 }
 
 TEST(Factory, ConstructByIdMatchesName) {
@@ -39,7 +39,7 @@ TEST(Factory, ConstructByIdMatchesName) {
 
 TEST(Factory, UnknownVariantThrows) {
   EXPECT_THROW(make_variant(0, 8), std::invalid_argument);
-  EXPECT_THROW(make_variant(17, 8), std::invalid_argument);
+  EXPECT_THROW(make_variant(15, 8), std::invalid_argument);
   EXPECT_THROW(make_variant("no-such-algo", 8), std::invalid_argument);
 }
 
@@ -50,7 +50,7 @@ TEST(Factory, RegistryLookupsAgreeWithEnumeration) {
   }
   EXPECT_EQ(find_variant("no-such-algo"), nullptr);
   EXPECT_EQ(find_variant(0), nullptr);
-  EXPECT_EQ(find_variant(17), nullptr);
+  EXPECT_EQ(find_variant(15), nullptr);
 }
 
 class FactoryVariants : public ::testing::TestWithParam<int> {};
@@ -105,11 +105,11 @@ TEST_P(FactoryVariants, SamplingOffStillCorrect) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, FactoryVariants, ::testing::Range(1, 17),
+INSTANTIATE_TEST_SUITE_P(AllVariants, FactoryVariants, ::testing::Range(1, 15),
                          [](const ::testing::TestParamInfo<int>& info) {
                            std::string n = all_variants()[info.param - 1].name;
                            for (char& c : n)
-                             if (c == '-' || c == '<' || c == '>') c = '_';
+                             if (c == '-') c = '_';
                            return n;
                          });
 

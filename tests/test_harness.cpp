@@ -110,7 +110,8 @@ TEST(Workload, RunConfigValidation) {
   // any thread spawns instead of producing undefined downstream behavior.
   Graph g = gen::erdos_renyi(20, 40, 2);
   auto dc = make_variant(1, g.num_vertices());
-  EXPECT_THROW(harness::run_random(*dc, g, bad_threads),
+  EXPECT_THROW(harness::run_scenario(*harness::find_scenario("random"), *dc, g,
+                                     bad_threads),
                std::invalid_argument);
 }
 
@@ -147,7 +148,9 @@ TEST(Workload, ValidationRejectsArrivalRateOnClosedLoopBatchScenarios) {
   cfg.warmup_ms = 0;
   Graph g = gen::erdos_renyi(20, 40, 2);
   auto dc = make_variant(1, g.num_vertices());
-  EXPECT_THROW(harness::run_batch(*dc, g, cfg), std::invalid_argument);
+  EXPECT_THROW(harness::run_scenario(*harness::find_scenario("batch-random"),
+                                     *dc, g, cfg),
+               std::invalid_argument);
 }
 
 TEST(Workload, BatchStreamMatchesPerOpStream) {
@@ -183,7 +186,8 @@ TEST(Driver, RandomScenarioProducesThroughput) {
   cfg.read_percent = 80;
   cfg.warmup_ms = 10;
   cfg.measure_ms = 40;
-  const harness::RunResult r = harness::run_random(*dc, g, cfg);
+  const harness::RunResult r =
+      harness::run_scenario(*harness::find_scenario("random"), *dc, g, cfg);
   EXPECT_GT(r.total_ops, 0u);
   EXPECT_GT(r.ops_per_ms, 0.0);
   EXPECT_GE(r.elapsed_ms, cfg.measure_ms * 0.9);
@@ -201,7 +205,8 @@ TEST(Driver, BatchScenarioProducesThroughputAndLatency) {
   cfg.warmup_ms = 10;
   cfg.measure_ms = 40;
   cfg.batch_size = 32;
-  const harness::RunResult r = harness::run_batch(*dc, g, cfg);
+  const harness::RunResult r = harness::run_scenario(
+      *harness::find_scenario("batch-random"), *dc, g, cfg);
   EXPECT_GT(r.total_ops, 0u);
   EXPECT_GT(r.ops_per_ms, 0.0);
   EXPECT_GT(r.batches, 0u);
@@ -221,7 +226,8 @@ TEST(Driver, IncrementalInsertsWholeGraph) {
   auto dc = make_variant(9, g.num_vertices());
   harness::RunConfig cfg;
   cfg.threads = 3;
-  const harness::RunResult r = harness::run_incremental(*dc, g, cfg);
+  const harness::RunResult r = harness::run_scenario(
+      *harness::find_scenario("incremental"), *dc, g, cfg);
   EXPECT_EQ(r.total_ops, g.num_edges());
   // Everything inserted: structure must agree with the full graph.
   const ComponentInfo cc = connected_components(g);
@@ -235,7 +241,8 @@ TEST(Driver, DecrementalEmptiesTheStructure) {
   auto dc = make_variant(9, g.num_vertices());
   harness::RunConfig cfg;
   cfg.threads = 3;
-  const harness::RunResult r = harness::run_decremental(*dc, g, cfg);
+  const harness::RunResult r = harness::run_scenario(
+      *harness::find_scenario("decremental"), *dc, g, cfg);
   EXPECT_EQ(r.total_ops, g.num_edges());
   for (Vertex v = 1; v < 120; v += 7) EXPECT_FALSE(dc->connected(0, v));
 }

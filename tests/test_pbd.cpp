@@ -256,20 +256,15 @@ TEST(PbdRegistry, CapsAreHonest) {
   const VariantInfo* v = find_variant("pbd");
   ASSERT_NE(v, nullptr);
   EXPECT_EQ(v->id, 14);
-  EXPECT_TRUE(v->caps.native_batch);
   EXPECT_TRUE(v->caps.atomic_batch);
   EXPECT_TRUE(v->caps.lock_free_reads);
   EXPECT_TRUE(v->caps.internal_parallel);
-  EXPECT_TRUE(v->caps.sized_components);
-  EXPECT_TRUE(v->caps.stable_representative);
   EXPECT_FALSE(v->caps.combining);
   EXPECT_FALSE(v->caps.label_cache);
-  // Only the internally parallel batch families claim the cap: pbd (one
-  // gang inside the engine) and the sharded facades (a gang fanning
-  // per-shard sub-batches).
+  // pbd is the only internally parallel batch family (one gang inside the
+  // engine).
   for (const VariantInfo& info : all_variants()) {
-    if (info.id != v->id &&
-        std::string(info.name).rfind("sharded<", 0) != 0) {
+    if (info.id != v->id) {
       EXPECT_FALSE(info.caps.internal_parallel) << info.name;
     }
   }
